@@ -288,11 +288,12 @@ cmake -B build-tsan -G Ninja -DNETPART_SANITIZE=thread \
   -DNETPART_BUILD_BENCHMARKS=OFF -DNETPART_BUILD_EXAMPLES=OFF
 cmake --build build-tsan --target parallel_test obs_test fm_partition_test \
   repart_property_test coarsen_property_test igmatch_oracle_test \
-  server_test io_fuzz_test flight_recorder_test
+  server_test server_schema_test io_fuzz_test flight_recorder_test
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/flight_recorder_test
 ./build-tsan/tests/server_test
+./build-tsan/tests/server_schema_test
 ./build-tsan/tests/io_fuzz_test
 NETPART_THREADS=4 ./build-tsan/tests/fm_partition_test
 NETPART_THREADS=4 ./build-tsan/tests/repart_property_test

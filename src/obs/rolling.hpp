@@ -13,10 +13,10 @@
 /// one epoch of slack.  Combined with HistogramEntry::quantile() this gives
 /// p50/p90/p99 over a sliding window without storing samples.
 ///
-/// Not internally synchronized: the MetricsRegistry guards its rolling
-/// histograms with its own mutex, and the server keeps per-op instances on
-/// the single executor thread.  Callers pass their own clock (milliseconds,
-/// any monotonic origin) so tests can drive rotation deterministically.
+/// Not internally synchronized: the MetricsRegistry and netpartd's series
+/// table (shared by every executor lane) each guard theirs with a mutex.
+/// Callers pass their own clock (milliseconds, any monotonic origin) so
+/// tests can drive rotation deterministically.
 
 namespace netpart::obs {
 

@@ -88,6 +88,55 @@ std::string latency_json(const obs::HistogramEntry& h,
   return out;
 }
 
+/// The rolling entries of one `stats` family (named "<family>.<key>") as a
+/// JSON object keyed by <key>, or as an array in entry order.
+std::string family_json(const std::vector<obs::RollingEntry>& rolling,
+                        std::string_view family, bool as_array) {
+  std::string out(1, as_array ? '[' : '{');
+  bool first = true;
+  for (const obs::RollingEntry& r : rolling) {
+    const std::string_view name = r.name;
+    if (name.size() <= family.size() || !name.starts_with(family) ||
+        name[family.size()] != '.')
+      continue;
+    if (!first) out += ',';
+    first = false;
+    if (!as_array) {
+      out += '"';
+      out += obs::json_escape(name.substr(family.size() + 1));
+      out += "\":";
+    }
+    out += latency_json(r.window, r.window_ms);
+  }
+  out += as_array ? ']' : '}';
+  return out;
+}
+
+/// Series-table indices; the layout is documented at Server::series_.
+constexpr std::size_t kLaneSeries = 2 * runtime::kNumClasses;
+std::size_t class_latency_series(runtime::RequestClass c) {
+  return static_cast<std::size_t>(c);
+}
+std::size_t class_queue_series(runtime::RequestClass c) {
+  return runtime::kNumClasses + static_cast<std::size_t>(c);
+}
+std::size_t lane_execute_series(std::size_t lane) { return kLaneSeries + lane; }
+std::size_t lane_queue_series(std::size_t lanes, std::size_t lane) {
+  return kLaneSeries + lanes + lane;
+}
+std::size_t all_requests_series(std::size_t lanes) {
+  return kLaneSeries + 2 * lanes;
+}
+
+/// Whether a finished response reports success.  Every envelope opens with
+/// `{"id":<id>,"ok":<bool>` (ResponseBuilder, error_response), so the first
+/// "ok" key decides and the payload behind it is never scanned.
+bool response_ok(std::string_view response) {
+  const std::size_t at = response.find("\"ok\":");
+  return at != std::string_view::npos &&
+         response.substr(at + 5, 4) == "true";
+}
+
 /// Class occupancy bounds from the options: explicit values win, zeros
 /// derive from queue_capacity so one flag scales the whole admission
 /// surface.  hit_pending *is* queue_capacity — at 1 lane with admission on,
@@ -141,19 +190,7 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       config_hash_(repartition_config_hash(options_.repartition)),
-      admission_(derive_limits(options_)),
-      all_latency_(obs::RollingConfig{options_.latency_window_ms, 6}) {
-  class_latency_.reserve(runtime::kNumClasses);
-  class_queue_wait_.reserve(runtime::kNumClasses);
-  for (std::size_t i = 0; i < runtime::kNumClasses; ++i) {
-    class_latency_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
-    class_queue_wait_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
-  }
-  class_latency_exemplar_.resize(runtime::kNumClasses);
-  class_queue_exemplar_.resize(runtime::kNumClasses);
-}
+      admission_(derive_limits(options_)) {}
 
 Server::~Server() {
   request_stop();
@@ -242,14 +279,16 @@ bool Server::start(std::string& error) {
 
   start_ms_ = steady_now_ms();
   const std::size_t lanes = std::max<std::size_t>(1, options_.executor_lanes);
-  lane_queue_wait_.clear();
-  lane_execute_.clear();
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lane_queue_wait_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
-    lane_execute_.emplace_back(
-        obs::RollingConfig{options_.latency_window_ms, 6});
-  }
+  series_.clear();
+  op_series_.clear();
+  for (const char* family : {"class_latency_ms.", "class_queue_wait_ms."})
+    for (std::size_t c = 0; c < runtime::kNumClasses; ++c)
+      add_series(family + std::string(runtime::class_name(
+                              static_cast<runtime::RequestClass>(c))));
+  for (const char* family : {"lane_execute_ms.", "lane_queue_wait_ms."})
+    for (std::size_t i = 0; i < lanes; ++i)
+      add_series(family + std::to_string(i));
+  add_series("request_latency_ms");
   obs::FlightRecorder::instance().configure(options_.flight_recorder_capacity);
   obs::FlightRecorder::instance().note("server.start",
                                        static_cast<std::int64_t>(lanes));
@@ -349,7 +388,6 @@ void Server::io_loop() {
           steady_now_ms(), options_.idle_timeout_ms);
       if (evicted > 0) {
         sessions_evicted_.fetch_add(evicted, std::memory_order_relaxed);
-        NETPART_COUNTER_ADD("server.sessions_evicted", evicted);
         obs::FlightRecorder::instance().note("sessions.evicted", evicted);
       }
     }
@@ -391,7 +429,6 @@ void Server::accept_ready(int listen_fd, bool tcp) {
     if (fd < 0) return;  // EAGAIN/EMFILE/...: try again next poll round
     if (tcp) set_tcp_nodelay(fd);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    NETPART_COUNTER_ADD("server.connections", 1);
     conns_.push_back(std::make_shared<Conn>(fd));
   }
 }
@@ -413,10 +450,10 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
   const auto reject_oversized = [this, &conn] {
     // An over-long line can never be trusted to resync; refuse and hang up.
     rejected_oversized_.fetch_add(1, std::memory_order_relaxed);
-    NETPART_COUNTER_ADD("server.rejected_oversized", 1);
     write_response(conn,
                    error_response(-1, "frame_too_large",
-                                  "request line exceeds max_frame_bytes"));
+                                  "request line exceeds max_frame_bytes"),
+                   /*ok=*/false);
     conn->closed.store(true, std::memory_order_relaxed);
   };
 
@@ -451,10 +488,9 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
   // attributable in client-side traces.
   const auto reject = [&](const char* code) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    NETPART_COUNTER_ADD("server.parse_errors", 1);
     std::string response = error_response(req.id, code, error);
     splice_trace_id(response, req.trace_id);
-    write_response(conn, std::move(response));
+    write_response(conn, std::move(response), /*ok=*/false);
   };
   switch (parse_request(line, req, error)) {
     case ParseResult::kOk:
@@ -470,7 +506,6 @@ void Server::process_line(const std::shared_ptr<Conn>& conn,
       return;
   }
   requests_total_.fetch_add(1, std::memory_order_relaxed);
-  NETPART_COUNTER_ADD("server.requests", 1);
   enqueue(conn, std::move(req), static_cast<std::int64_t>(line.size()),
           read_ns);
 }
@@ -513,7 +548,7 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
     std::string response =
         error_response(req.id, "shutting_down", "server is draining");
     splice_trace_id(response, req.trace_id);
-    write_response(conn, std::move(response));
+    write_response(conn, std::move(response), /*ok=*/false);
     return;
   }
   auto item = std::make_shared<QueueItem>();
@@ -540,17 +575,6 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
   if (options_.admission_control) {
     if (!admission_.try_admit(item->cls)) {
       rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      NETPART_COUNTER_ADD("server.rejected_overload", 1);
-      switch (item->cls) {
-        case runtime::RequestClass::kCold:
-          NETPART_COUNTER_ADD("server.shed_cold", 1);
-          break;
-        case runtime::RequestClass::kWarm:
-          NETPART_COUNTER_ADD("server.shed_warm", 1);
-          break;
-        default:
-          break;
-      }
       item->clock.mark(obs::Stage::kAdmission);
       obs::FlightRecorder::instance().record(
           flight_record(*item, obs::FlightOutcome::kShed));
@@ -558,14 +582,13 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
           overloaded_response(item->req.id, item->cls,
                               admission_.retry_after_ms(item->cls));
       splice_trace_id(response, item->req.trace_id);
-      write_response(item->conn, std::move(response));
+      write_response(item->conn, std::move(response), /*ok=*/false);
       return;
     }
   } else if (pool_.total_depth() >=
              static_cast<std::int64_t>(options_.queue_capacity)) {
     // Legacy single-bound backpressure: every class shares one queue cap.
     rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    NETPART_COUNTER_ADD("server.rejected_overload", 1);
     item->clock.mark(obs::Stage::kAdmission);
     obs::FlightRecorder::instance().record(
         flight_record(*item, obs::FlightOutcome::kShed));
@@ -573,7 +596,7 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
         error_response(item->req.id, "overloaded",
                        "request queue is full; retry later");
     splice_trace_id(response, item->req.trace_id);
-    write_response(item->conn, std::move(response));
+    write_response(item->conn, std::move(response), /*ok=*/false);
     return;
   }
   item->clock.mark(obs::Stage::kAdmission);
@@ -581,8 +604,6 @@ void Server::enqueue(const std::shared_ptr<Conn>& conn, Request req,
   const std::size_t lane = runtime::ExecutorPool::lane_for_session(
       item->req.session, pool_.lanes());
   item->lane = static_cast<std::int32_t>(lane);
-  NETPART_GAUGE_SET("server.queue_depth",
-                    static_cast<double>(pool_.total_depth() + 1));
   pool_.submit(lane, [this, item] { handle_item(*item); });
 }
 
@@ -592,28 +613,25 @@ void Server::handle_item(QueueItem& item) {
   const bool admitted = options_.admission_control;
   if (admitted) admission_.on_start(item.cls);
   const double queue_wait_ms = static_cast<double>(begin_ms - item.enqueue_ms);
-  NETPART_HISTOGRAM_RECORD("server.queue_wait_ms", queue_wait_ms);
+  const auto lane = static_cast<std::size_t>(item.lane);
   {
     // Per-class and per-lane queue-wait windows: the decomposition that
     // shows *where* admission backpressure lands, not just that it exists.
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    class_queue_wait_[static_cast<std::size_t>(item.cls)].record(queue_wait_ms,
-                                                                 begin_ms);
-    const auto lane = static_cast<std::size_t>(item.lane);
-    if (lane < lane_queue_wait_.size())
-      lane_queue_wait_[lane].record(queue_wait_ms, begin_ms);
+    Series& cls = series_[class_queue_series(item.cls)];
+    cls.hist.record(queue_wait_ms, begin_ms);
+    series_[lane_queue_series(pool_.lanes(), lane)].hist.record(queue_wait_ms,
+                                                                begin_ms);
     if (item.trace.valid())
-      offer_exemplar(class_queue_exemplar_[static_cast<std::size_t>(item.cls)],
-                     queue_wait_ms, item.req.trace_id);
+      offer_exemplar(cls, queue_wait_ms, item.req.trace_id);
   }
   if (item.deadline_ms > 0 && begin_ms > item.deadline_ms) {
     rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-    NETPART_COUNTER_ADD("server.rejected_deadline", 1);
     std::string response = error_response(item.req.id, "deadline_exceeded",
                                           "request expired while queued");
     splice_trace_id(response, item.req.trace_id);
     const auto bytes_out = static_cast<std::int64_t>(response.size());
-    write_response(item.conn, std::move(response));
+    write_response(item.conn, std::move(response), /*ok=*/false);
     item.clock.mark(obs::Stage::kWrite);
     obs::FlightRecorder::instance().record(
         flight_record(item, obs::FlightOutcome::kDeadline));
@@ -652,6 +670,8 @@ void Server::handle_item(QueueItem& item) {
   bool cache_hit = false;
   std::string response = dispatch(item.req, cache_hit);
   item.clock.mark(obs::Stage::kExecute);
+  // Decided on the envelope, before the splices below append payload.
+  const bool ok = response_ok(response);
 
 #if NETPART_OBS_ENABLED
   if (trace && reg.enabled() && !response.empty() &&
@@ -733,27 +753,21 @@ void Server::handle_item(QueueItem& item) {
   const std::int64_t end_ms = steady_now_ms();
   const double exec_ms = static_cast<double>(end_ms - begin_ms);
   if (admitted) admission_.on_finish(item.cls, exec_ms);
-  NETPART_HISTOGRAM_RECORD("server.handle_ms", exec_ms);
-  NETPART_ROLLING_RECORD("server.request_ms", exec_ms);
   {
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    op_latency_
-        .try_emplace(item.req.op_name,
-                     obs::RollingConfig{options_.latency_window_ms, 6})
-        .first->second.record(exec_ms, end_ms);
-    all_latency_.record(exec_ms, end_ms);
-    class_latency_[static_cast<std::size_t>(item.cls)].record(exec_ms, end_ms);
-    const auto lane = static_cast<std::size_t>(item.lane);
-    if (lane < lane_execute_.size()) lane_execute_[lane].record(exec_ms, end_ms);
-    if (item.trace.valid())
-      offer_exemplar(class_latency_exemplar_[static_cast<std::size_t>(item.cls)],
-                     exec_ms, item.req.trace_id);
+    const auto [op, fresh] = op_series_.try_emplace(item.req.op_name, 0);
+    if (fresh) op->second = add_series("op_latency_ms." + item.req.op_name);
+    series_[op->second].hist.record(exec_ms, end_ms);
+    series_[all_requests_series(pool_.lanes())].hist.record(exec_ms, end_ms);
+    series_[lane_execute_series(lane)].hist.record(exec_ms, end_ms);
+    Series& cls = series_[class_latency_series(item.cls)];
+    cls.hist.record(exec_ms, end_ms);
+    if (item.trace.valid()) offer_exemplar(cls, exec_ms, item.req.trace_id);
   }
   sample_process_gauges(end_ms);
 
-  const bool ok = response.find("\"ok\":false") == std::string::npos;
   const auto bytes_out = static_cast<std::int64_t>(response.size());
-  write_response(item.conn, std::move(response));
+  write_response(item.conn, std::move(response), ok);
   item.clock.mark(obs::Stage::kWrite);
   obs::FlightRecorder::instance().record(flight_record(
       item, ok ? obs::FlightOutcome::kOk : obs::FlightOutcome::kError));
@@ -782,15 +796,25 @@ obs::FlightRecord Server::flight_record(const QueueItem& item,
   return rec;
 }
 
-void Server::offer_exemplar(Exemplar& ex, double value,
+std::size_t Server::add_series(std::string name) {
+  Series& s = series_.emplace_back(Series{
+      obs::RollingHistogram(obs::RollingConfig{options_.latency_window_ms, 6}),
+      obs::RollingEntry{}});
+  s.entry.name = std::move(name);
+  s.entry.window_ms = s.hist.window_ms();
+  return series_.size() - 1;
+}
+
+void Server::offer_exemplar(Series& s, double value,
                             const std::string& trace_id) const {
+  obs::RollingEntry& ex = s.entry;
   const std::int64_t now = wall_now_ms();
-  const bool stale =
-      ex.value < 0 || now - ex.ts_ms > options_.latency_window_ms;
-  if (!stale && value < ex.value) return;
-  ex.value = value;
-  ex.ts_ms = now;
-  ex.trace_id = trace_id;
+  const bool stale = ex.exemplar_value < 0 ||
+                     now - ex.exemplar_ts_ms > options_.latency_window_ms;
+  if (!stale && value < ex.exemplar_value) return;
+  ex.exemplar_value = value;
+  ex.exemplar_ts_ms = now;
+  ex.exemplar_trace_id = trace_id;
 }
 
 void Server::observe_request(const QueueItem& item, std::int64_t begin_ms,
@@ -882,13 +906,10 @@ void Server::sample_process_gauges(std::int64_t now_ms) {
       const std::int64_t rss =
           static_cast<std::int64_t>(resident_pages) * page;
       rss_bytes_.store(rss, std::memory_order_relaxed);
-      NETPART_GAUGE_SET("server.rss_bytes", static_cast<double>(rss));
     }
     std::fclose(f);
   }
 #endif
-  NETPART_GAUGE_SET("server.queue_depth",
-                    static_cast<double>(pool_.total_depth()));
 }
 
 std::string Server::dispatch(const Request& req, bool& cache_hit) {
@@ -998,7 +1019,6 @@ std::string Server::do_partition(const Request& req, bool& cache_hit) {
       cache_.capacity() > 0) {
     const CacheKey key{s->netlist_hash, config_hash_};
     if (const auto hit = cache_.find(key)) {
-      NETPART_COUNTER_ADD("server.cache_hits", 1);
       cache_hit = true;
       s->session.import_warm_state(hit->warm);
       s->last = hit->result;
@@ -1013,7 +1033,6 @@ std::string Server::do_partition(const Request& req, bool& cache_hit) {
       rb.add_string("hash", format_content_hash(s->netlist_hash));
       return std::move(rb).finish();
     }
-    NETPART_COUNTER_ADD("server.cache_misses", 1);
   }
 
   const repart::RepartitionResult r = s->session.repartition();
@@ -1151,141 +1170,65 @@ std::string Server::do_metrics(const Request& req) {
   return std::move(rb).finish();
 }
 
-std::string Server::do_stats(const Request& req) {
-  const std::int64_t now = steady_now_ms();
-  const ServerStatsSnapshot st = stats();
-  obs::HistogramEntry all;
-  {
-    const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    all = all_latency_.merged(now);
-  }
-
-  const std::int64_t lookups = st.cache_hits + st.cache_misses;
-  const double hit_rate =
-      lookups > 0 ? static_cast<double>(st.cache_hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
-  // Recent throughput: samples in the rolling window over the window span
-  // (clamped to uptime so a fresh server is not under-reported).
-  const std::int64_t window_span =
-      std::min(all_latency_.window_ms(),
-               std::max<std::int64_t>(st.uptime_ms, 1));
-  const double qps = static_cast<double>(all.count) * 1000.0 /
-                     static_cast<double>(window_span);
-
-  const auto admission_class_json = [this](runtime::RequestClass c) {
-    const runtime::ClassSnapshot snap = admission_.snapshot(c);
-    std::string out = "{\"admitted\":";
-    out += std::to_string(snap.admitted);
-    out += ",\"shed\":";
-    out += std::to_string(snap.shed);
-    out += ",\"occupancy\":";
-    out += std::to_string(snap.occupancy);
-    out += ",\"cap\":";
-    out += std::to_string(snap.cap);
-    out += ",\"ema_ms\":";
-    out += json_number(snap.ema_ms);
-    out += '}';
-    return out;
+obs::MetricsSnapshot Server::stats_snapshot(const ServerStatsSnapshot& st,
+                                            std::int64_t now_ms) const {
+  // Counters, gauges, then series, each in exposition order: to_prometheus
+  // keeps snapshot order, so the body is stable.
+  obs::MetricsSnapshot snap;
+  const auto counter = [&snap](const std::string& name, std::int64_t v) {
+    snap.counters.push_back({name, v});
   };
+  counter("cache_hits", st.cache_hits);
+  counter("cache_misses", st.cache_misses);
+  counter("connections", st.connections_accepted);
+  for (std::size_t i = 0; i < st.lanes.size(); ++i)
+    counter("lane_executed." + std::to_string(i), st.lanes[i].executed);
+  counter("parse_errors", st.parse_errors);
+  counter("rejected_deadline", st.rejected_deadline);
+  counter("rejected_overload", st.rejected_overload);
+  counter("rejected_oversized", st.rejected_oversized);
+  counter("requests", st.requests_total);
+  counter("responses_error", st.responses_error);
+  counter("responses_ok", st.responses_ok);
+  counter("sessions_evicted", st.sessions_evicted);
+  counter("shed_cold", st.shed_cold);
+  counter("shed_hit", st.shed_hit);
+  counter("shed_warm", st.shed_warm);
+  counter("write_failures", st.write_failures);
+  const auto gauge = [&snap](const std::string& name, double v) {
+    snap.gauges.push_back({name, v});
+  };
+  gauge("cache_size", static_cast<double>(st.cache_size));
+  gauge("executor_lanes", static_cast<double>(st.executor_lanes));
+  for (std::size_t i = 0; i < st.lanes.size(); ++i) {
+    gauge("lane_busy." + std::to_string(i), st.lanes[i].busy ? 1.0 : 0.0);
+    gauge("lane_queue_depth." + std::to_string(i),
+          static_cast<double>(st.lanes[i].queue_depth));
+  }
+  gauge("queue_capacity", static_cast<double>(options_.queue_capacity));
+  gauge("queue_depth", static_cast<double>(st.queue_depth));
+  gauge("rss_bytes", static_cast<double>(st.rss_bytes));
+  gauge("sessions_live", static_cast<double>(st.sessions_live));
+  gauge("uptime_seconds", static_cast<double>(st.uptime_ms) / 1000.0);
+
+  const auto add = [&snap, now_ms](const Series& s) {
+    snap.rolling.push_back(s.entry);
+    snap.rolling.back().window = s.hist.merged(now_ms);
+  };
+  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
+  const std::size_t all = all_requests_series(pool_.lanes());
+  for (std::size_t i = 0; i < all; ++i) add(series_[i]);
+  for (const auto& [op_name, index] : op_series_) add(series_[index]);
+  add(series_[all]);
+  return snap;
+}
+
+std::string Server::do_stats(const Request& req) {
+  const ServerStatsSnapshot st = stats();
+  const obs::MetricsSnapshot snap = stats_snapshot(st, steady_now_ms());
 
   if (req.format == "prometheus") {
-    // Synthesize a snapshot of the always-live server telemetry; obs
-    // compiles out, this does not.  Entries are appended in sorted order —
-    // to_prometheus keeps snapshot order, so the exposition is stable.
-    obs::MetricsSnapshot synth;
-    const auto counter = [&synth](const std::string& name, std::int64_t v) {
-      synth.counters.push_back({name, v});
-    };
-    counter("cache_hits", st.cache_hits);
-    counter("cache_misses", st.cache_misses);
-    counter("connections", st.connections_accepted);
-    for (std::size_t i = 0; i < st.lanes.size(); ++i)
-      counter("lane_executed." + std::to_string(i), st.lanes[i].executed);
-    counter("parse_errors", st.parse_errors);
-    counter("rejected_deadline", st.rejected_deadline);
-    counter("rejected_overload", st.rejected_overload);
-    counter("rejected_oversized", st.rejected_oversized);
-    counter("requests", st.requests_total);
-    counter("responses_error", st.responses_error);
-    counter("responses_ok", st.responses_ok);
-    counter("sessions_evicted", st.sessions_evicted);
-    counter("shed_cold", st.shed_cold);
-    counter("shed_hit", st.shed_hit);
-    counter("shed_warm", st.shed_warm);
-    counter("write_failures", st.write_failures);
-    const auto gauge = [&synth](const std::string& name, double v) {
-      synth.gauges.push_back({name, v});
-    };
-    gauge("cache_size", static_cast<double>(st.cache_size));
-    gauge("executor_lanes", static_cast<double>(st.executor_lanes));
-    for (std::size_t i = 0; i < st.lanes.size(); ++i) {
-      gauge("lane_busy." + std::to_string(i), st.lanes[i].busy ? 1.0 : 0.0);
-      gauge("lane_queue_depth." + std::to_string(i),
-            static_cast<double>(st.lanes[i].queue_depth));
-    }
-    gauge("queue_capacity", static_cast<double>(options_.queue_capacity));
-    gauge("queue_depth", static_cast<double>(st.queue_depth));
-    gauge("rss_bytes", static_cast<double>(st.rss_bytes));
-    gauge("sessions_live", static_cast<double>(st.sessions_live));
-    gauge("uptime_seconds", static_cast<double>(st.uptime_ms) / 1000.0);
-    {
-      const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-      for (std::size_t i = 0; i < class_latency_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = std::string("class_latency_ms.") +
-                     runtime::class_name(static_cast<runtime::RequestClass>(i));
-        entry.window_ms = class_latency_[i].window_ms();
-        entry.window = class_latency_[i].merged(now);
-        if (class_latency_exemplar_[i].value >= 0) {
-          entry.exemplar_trace_id = class_latency_exemplar_[i].trace_id;
-          entry.exemplar_value = class_latency_exemplar_[i].value;
-          entry.exemplar_ts_ms = class_latency_exemplar_[i].ts_ms;
-        }
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < class_queue_wait_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = std::string("class_queue_wait_ms.") +
-                     runtime::class_name(static_cast<runtime::RequestClass>(i));
-        entry.window_ms = class_queue_wait_[i].window_ms();
-        entry.window = class_queue_wait_[i].merged(now);
-        if (class_queue_exemplar_[i].value >= 0) {
-          entry.exemplar_trace_id = class_queue_exemplar_[i].trace_id;
-          entry.exemplar_value = class_queue_exemplar_[i].value;
-          entry.exemplar_ts_ms = class_queue_exemplar_[i].ts_ms;
-        }
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < lane_execute_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = "lane_execute_ms." + std::to_string(i);
-        entry.window_ms = lane_execute_[i].window_ms();
-        entry.window = lane_execute_[i].merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (std::size_t i = 0; i < lane_queue_wait_.size(); ++i) {
-        obs::RollingEntry entry;
-        entry.name = "lane_queue_wait_ms." + std::to_string(i);
-        entry.window_ms = lane_queue_wait_[i].window_ms();
-        entry.window = lane_queue_wait_[i].merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
-      for (const auto& [op_name, hist] : op_latency_) {
-        obs::RollingEntry entry;
-        entry.name = "op_latency_ms." + op_name;
-        entry.window_ms = hist.window_ms();
-        entry.window = hist.merged(now);
-        synth.rolling.push_back(std::move(entry));
-      }
-    }
-    obs::RollingEntry overall;
-    overall.name = "request_latency_ms";
-    overall.window_ms = all_latency_.window_ms();
-    overall.window = all;
-    synth.rolling.push_back(std::move(overall));
-
-    std::string body = obs::to_prometheus(synth, "netpartd");
+    std::string body = obs::to_prometheus(snap, "netpartd");
 #if NETPART_OBS_ENABLED
     // The pipeline's own registry (phase timings, counters, rolling span
     // latencies) rides along under the distinct `netpart_` prefix.
@@ -1300,55 +1243,18 @@ std::string Server::do_stats(const Request& req) {
         .finish();
   }
 
-  std::string per_op = "{";
-  std::string per_class = "{";
-  std::string per_class_queue = "{";
-  std::string lane_queue_arr = "[";
-  std::string lane_exec_arr = "[";
-  {
-    const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    bool first = true;
-    for (const auto& [op_name, hist] : op_latency_) {
-      if (!first) per_op += ',';
-      first = false;
-      per_op += '"';
-      per_op += obs::json_escape(op_name);
-      per_op += "\":";
-      per_op += latency_json(hist.merged(now), hist.window_ms());
-    }
-    for (std::size_t i = 0; i < class_latency_.size(); ++i) {
-      if (i > 0) per_class += ',';
-      per_class += '"';
-      per_class += runtime::class_name(static_cast<runtime::RequestClass>(i));
-      per_class += "\":";
-      per_class += latency_json(class_latency_[i].merged(now),
-                                class_latency_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < class_queue_wait_.size(); ++i) {
-      if (i > 0) per_class_queue += ',';
-      per_class_queue += '"';
-      per_class_queue +=
-          runtime::class_name(static_cast<runtime::RequestClass>(i));
-      per_class_queue += "\":";
-      per_class_queue += latency_json(class_queue_wait_[i].merged(now),
-                                      class_queue_wait_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < lane_queue_wait_.size(); ++i) {
-      if (i > 0) lane_queue_arr += ',';
-      lane_queue_arr += latency_json(lane_queue_wait_[i].merged(now),
-                                     lane_queue_wait_[i].window_ms());
-    }
-    for (std::size_t i = 0; i < lane_execute_.size(); ++i) {
-      if (i > 0) lane_exec_arr += ',';
-      lane_exec_arr += latency_json(lane_execute_[i].merged(now),
-                                    lane_execute_[i].window_ms());
-    }
-  }
-  per_op += '}';
-  per_class += '}';
-  per_class_queue += '}';
-  lane_queue_arr += ']';
-  lane_exec_arr += ']';
+  const obs::RollingEntry& all = snap.rolling.back();  // request_latency_ms
+  const std::int64_t lookups = st.cache_hits + st.cache_misses;
+  const double hit_rate =
+      lookups > 0 ? static_cast<double>(st.cache_hits) /
+                        static_cast<double>(lookups)
+                  : 0.0;
+  // Recent throughput: samples in the rolling window over the window span
+  // (clamped to uptime so a fresh server is not under-reported).
+  const std::int64_t window_span =
+      std::min(all.window_ms, std::max<std::int64_t>(st.uptime_ms, 1));
+  const double qps = static_cast<double>(all.window.count) * 1000.0 /
+                     static_cast<double>(window_span);
 
   std::string lanes_arr = "[";
   for (std::size_t i = 0; i < st.lanes.size(); ++i) {
@@ -1367,12 +1273,23 @@ std::string Server::do_stats(const Request& req) {
 
   std::string admission = "{\"enabled\":";
   admission += options_.admission_control ? "true" : "false";
-  admission += ",\"hit\":";
-  admission += admission_class_json(runtime::RequestClass::kHit);
-  admission += ",\"warm\":";
-  admission += admission_class_json(runtime::RequestClass::kWarm);
-  admission += ",\"cold\":";
-  admission += admission_class_json(runtime::RequestClass::kCold);
+  for (std::size_t c = 0; c < runtime::kNumClasses; ++c) {
+    const auto cls = static_cast<runtime::RequestClass>(c);
+    const runtime::ClassSnapshot a = admission_.snapshot(cls);
+    admission += ",\"";
+    admission += runtime::class_name(cls);
+    admission += "\":{\"admitted\":";
+    admission += std::to_string(a.admitted);
+    admission += ",\"shed\":";
+    admission += std::to_string(a.shed);
+    admission += ",\"occupancy\":";
+    admission += std::to_string(a.occupancy);
+    admission += ",\"cap\":";
+    admission += std::to_string(a.cap);
+    admission += ",\"ema_ms\":";
+    admission += json_number(a.ema_ms);
+    admission += '}';
+  }
   admission += '}';
 
   ResponseBuilder rb(req.id, true);
@@ -1393,12 +1310,13 @@ std::string Server::do_stats(const Request& req) {
       .add_int("write_failures", st.write_failures)
       .add_raw("lanes", lanes_arr)
       .add_raw("admission", admission)
-      .add_raw("latency_ms", latency_json(all, all_latency_.window_ms()))
-      .add_raw("class_latency_ms", per_class)
-      .add_raw("class_queue_wait_ms", per_class_queue)
-      .add_raw("lane_queue_wait_ms", lane_queue_arr)
-      .add_raw("lane_execute_ms", lane_exec_arr)
-      .add_raw("op_latency_ms", per_op);
+      .add_raw("latency_ms", latency_json(all.window, all.window_ms));
+  for (const char* family : {"class_latency_ms", "class_queue_wait_ms"})
+    rb.add_raw(family, family_json(snap.rolling, family, /*as_array=*/false));
+  for (const char* family : {"lane_queue_wait_ms", "lane_execute_ms"})
+    rb.add_raw(family, family_json(snap.rolling, family, /*as_array=*/true));
+  rb.add_raw("op_latency_ms",
+             family_json(snap.rolling, "op_latency_ms", /*as_array=*/false));
   return std::move(rb).finish();
 }
 
@@ -1504,13 +1422,10 @@ std::string Server::do_shutdown(const Request& req) {
 }
 
 void Server::write_response(const std::shared_ptr<Conn>& conn,
-                            std::string line) {
+                            std::string line, bool ok) {
   if (line.empty()) return;
-  const bool is_error = line.find("\"ok\":false") != std::string::npos;
-  if (is_error)
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
-  else
-    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+  (ok ? responses_ok_ : responses_error_)
+      .fetch_add(1, std::memory_order_relaxed);
 
   if (conn->closed.load(std::memory_order_relaxed)) return;
   line.push_back('\n');
@@ -1528,7 +1443,6 @@ void Server::write_response(const std::shared_ptr<Conn>& conn,
         // drains gets evicted, not spun on.
         if (++stalled_polls > 50) {
           write_failures_.fetch_add(1, std::memory_order_relaxed);
-          NETPART_COUNTER_ADD("server.write_failures", 1);
           std::fprintf(stderr,
                        "netpartd: dropping stalled connection fd=%d "
                        "(%zu/%zu bytes unsent)\n",
@@ -1543,7 +1457,6 @@ void Server::write_response(const std::shared_ptr<Conn>& conn,
       // EPIPE/ECONNRESET and friends: the peer is gone.  Log and evict —
       // the I/O loop reaps the closed connection on its next pass.
       write_failures_.fetch_add(1, std::memory_order_relaxed);
-      NETPART_COUNTER_ADD("server.write_failures", 1);
       std::fprintf(stderr, "netpartd: write to fd=%d failed: %s\n", conn->fd,
                    std::strerror(errno));
       conn->closed.store(true, std::memory_order_relaxed);

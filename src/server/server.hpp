@@ -230,8 +230,8 @@ class Server {
   [[nodiscard]] obs::FlightRecord flight_record(
       const QueueItem& item, obs::FlightOutcome outcome) const;
 
-  /// Fold one executed request into the rolling latency maps and (when
-  /// configured) the access/slow logs.  Lane-safe: telemetry_mutex_.
+  /// Write one executed request to the access log and, when it ran past
+  /// slow_ms, to stderr.  Lane-safe: telemetry_mutex_.
   void observe_request(const QueueItem& item, std::int64_t begin_ms,
                        std::int64_t end_ms, bool ok, bool cache_hit,
                        std::int64_t bytes_out, std::string_view outcome);
@@ -242,7 +242,9 @@ class Server {
   static void add_result_fields(ResponseBuilder& rb,
                                 const repart::RepartitionResult& r);
 
-  void write_response(const std::shared_ptr<Conn>& conn, std::string line);
+  /// Send one response line; `ok` picks the responses_ok/_error count.
+  void write_response(const std::shared_ptr<Conn>& conn, std::string line,
+                      bool ok);
 
   ServerOptions options_;
   SessionManager sessions_;
@@ -260,33 +262,39 @@ class Server {
   runtime::ExecutorPool pool_;
   runtime::AdmissionController admission_;
 
-  // Live telemetry.  The rolling maps and the log stream are shared by the
+  // Live telemetry.  The series table and the log stream are shared by the
   // lanes under telemetry_mutex_ (uncontended at 1 lane; microseconds of
   // hold time otherwise); always live so `stats` answers even under
-  // -DNETPART_OBS=OFF.
-  /// One recent traced sample a rolling histogram points at from its p99
-  /// Prometheus summary line.  Refreshed under telemetry_mutex_ whenever a
-  /// traced request's sample dominates the held one or the held one ages
-  /// out of the rolling window.
-  struct Exemplar {
-    double value = -1.0;       ///< -1 = none held
-    std::int64_t ts_ms = 0;    ///< unix ms when captured
-    std::string trace_id;      ///< canonical 32-hex form
+  // -DNETPART_OBS=OFF and across the registry resets of traced requests.
+
+  /// One windowed series `stats` reports.  `entry` holds the exposition
+  /// name (e.g. `class_latency_ms.hit`) and the exemplar — one recent
+  /// traced sample the p99 Prometheus line points at; its `window` is
+  /// filled from `hist` at snapshot time.
+  struct Series {
+    obs::RollingHistogram hist;
+    obs::RollingEntry entry;
   };
 
-  /// Refresh `ex` with a traced sample (telemetry_mutex_ must be held).
-  void offer_exemplar(Exemplar& ex, double value,
+  /// Append a series to the table; returns its index.
+  std::size_t add_series(std::string name);
+  /// Refresh a series' exemplar with a traced sample when it dominates the
+  /// held one or the held one aged out of the window (telemetry_mutex_).
+  void offer_exemplar(Series& s, double value,
                       const std::string& trace_id) const;
+  /// Every `stats` fact in one snapshot: the server counters and gauges
+  /// plus the windowed series, in exposition order.
+  [[nodiscard]] obs::MetricsSnapshot stats_snapshot(
+      const ServerStatsSnapshot& st, std::int64_t now_ms) const;
 
   mutable std::mutex telemetry_mutex_;
-  std::map<std::string, obs::RollingHistogram> op_latency_;
-  obs::RollingHistogram all_latency_{obs::RollingConfig{}};
-  std::vector<obs::RollingHistogram> class_latency_;    ///< one per class
-  std::vector<obs::RollingHistogram> class_queue_wait_;  ///< one per class
-  std::vector<obs::RollingHistogram> lane_queue_wait_;  ///< sized in start()
-  std::vector<obs::RollingHistogram> lane_execute_;     ///< sized in start()
-  std::vector<Exemplar> class_latency_exemplar_;    ///< one per class
-  std::vector<Exemplar> class_queue_exemplar_;      ///< one per class
+  /// The series table, built in start().  Layout: class latency and class
+  /// queue wait (one per class, by class index), lane execute and lane
+  /// queue wait (one per lane), the all-requests window, then per-op
+  /// latency, created on an op's first request.  Indices come from the
+  /// helpers in server.cpp, never from building a name.
+  std::vector<Series> series_;
+  std::map<std::string, std::size_t> op_series_;  ///< op name -> index
   std::ofstream access_log_;
   std::int64_t start_ms_ = 0;
   std::atomic<std::int64_t> last_gauge_sample_ms_{0};

@@ -41,6 +41,11 @@ constexpr Golden kGolden[] = {
     {"Test06", 4012, 150, 1, 1525, 16, 1},
 };
 
+// Without this, gtest prints the parameter as raw bytes, which include the
+// `name` pointer and so change from process to process under ASLR, giving
+// the discovered CTest names a different suffix on every build.
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.name; }
+
 class GoldenTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenTest, CircuitFingerprint) {

@@ -639,6 +639,67 @@ TEST(ServerTest, AccessLogWritesOneNdjsonLinePerExecutedRequest) {
   std::remove(log_path.c_str());
 }
 
+/// Each server fact is counted once, in the always-live `stats` plane.  The
+/// obs registry carries no `server.*` copy of it — a traced request resets
+/// the registry, and a copy there would restart from zero while `stats`
+/// kept counting.
+TEST(ServerTest, TracedRequestLeavesServerCountsWhole) {
+  ServerOptions options = test_options(unique_socket());
+  options.enable_obs = true;
+  {
+    ServerFixture fixture(options);
+    Client client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(is_ok(rpc(
+        client, R"({"id":1,"op":"load","session":"a","circuit":"bm1"})")));
+    ASSERT_TRUE(is_ok(rpc(client, R"({"id":2,"op":"partition","session":"a"})")));
+    ASSERT_TRUE(is_ok(rpc(
+        client, R"({"id":3,"op":"load","session":"b","circuit":"bm1"})")));
+    ASSERT_TRUE(is_ok(rpc(client, R"({"id":4,"op":"partition","session":"b"})")));
+    const JsonValue before = rpc(client, R"({"id":5,"op":"stats"})");
+    ASSERT_TRUE(is_ok(rpc(
+        client, R"({"id":6,"op":"partition","session":"a","trace":true})")));
+    ASSERT_TRUE(is_ok(rpc(
+        client, R"({"id":7,"op":"load","session":"c","circuit":"bm1"})")));
+    const JsonValue after = rpc(client, R"({"id":8,"op":"stats"})");
+    // stats, traced partition, load, stats: the count runs on through the
+    // registry reset.
+    EXPECT_EQ(get_number(after, "requests_total"),
+              get_number(before, "requests_total") + 3.0);
+    EXPECT_EQ(get_number(after, "cache_hits"), 1.0);
+
+    const JsonValue metrics = rpc(client, R"({"id":9,"op":"metrics"})");
+    ASSERT_TRUE(is_ok(metrics));
+#if NETPART_OBS_ENABLED
+    const JsonValue* obs_section = metrics.find("obs");
+    ASSERT_NE(obs_section, nullptr);
+    const JsonValue* counters = obs_section->find("counters");
+    ASSERT_NE(counters, nullptr);
+    // Facts nothing else counts stay in the registry.
+    EXPECT_NE(counters->find("server.loads"), nullptr);
+    for (const char* section : {"counters", "gauges", "histograms", "rolling"}) {
+      const JsonValue* entries = obs_section->find(section);
+      if (entries == nullptr) continue;
+      for (const auto& [name, value] : entries->object) {
+        EXPECT_TRUE(name == "server.loads" || name == "server.edits" ||
+                    name.rfind("server.", 0) != 0)
+            << section << " still carries a server copy: " << name;
+      }
+    }
+    const JsonValue prom =
+        rpc(client, R"({"id":10,"op":"stats","format":"prometheus"})");
+    const std::string body = get_string(prom, "body");
+    EXPECT_NE(body.find("netpartd_requests_total "), std::string::npos);
+    EXPECT_EQ(body.find("netpart_server_requests_total"), std::string::npos);
+#else
+    EXPECT_EQ(metrics.find("obs"), nullptr);
+#endif
+  }
+  obs::MetricsRegistry::instance().set_rolling_spans(false);
+  obs::MetricsRegistry::instance().set_enabled(false);
+  obs::MetricsRegistry::instance().reset();
+}
+
 #if NETPART_OBS_ENABLED
 TEST(ServerTest, ChromeTraceRoundTripsThroughTheWire) {
   ServerOptions options = test_options(unique_socket());
